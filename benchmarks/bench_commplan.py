@@ -10,6 +10,12 @@ cuts the fig37-style bordered sweep's median wall-clock by **at least
 targeted region write per owning processor instead of one message per
 interface element.
 
+The runtime also picks its own exchange depth: on a 256x256 field over
+2x2 with only **1-deep** borders, each 128x128 section runs on a private
+depth-8 working tile, shipping **at most a quarter** of the unplanned
+path's messages per sweep and cutting the median 16-sweep latency by **at
+least 1.5x**.
+
 Message counts come from the exact routed counters (GIL-independent);
 wall-clock from explicit ``perf_counter`` rounds, planned and unplanned
 interleaved so load drift cancels.
@@ -32,6 +38,8 @@ N = 16            # global grid: N x N doubles
 GRID = (2, 2)     # the fig37 decomposition under test
 DEPTH = 4         # planned border depth: one exchange per 4 sweeps
 SWEEPS = 12       # per timed call: 3 planned phases
+TILE_N = 256      # working-tile gate: 128x128 sections on the 2x2 grid
+TILE_SWEEPS = 16  # per timed call: 2 depth-8 phases
 
 
 @contextmanager
@@ -44,15 +52,15 @@ def planning_disabled(machine):
         registry.enabled = True
 
 
-def make_field(rt, borders):
+def make_field(rt, borders, n=N):
     procs = rt.processors(0, GRID[0] * GRID[1])
     arr = rt.array(
-        "double", (N, N), processors=procs,
+        "double", (n, n), processors=procs,
         distrib=[("block", GRID[0]), ("block", GRID[1])],
         borders=[borders] * 4,
     )
     rng = np.random.default_rng(37)
-    arr.from_numpy(rng.uniform(0, 100, (N, N)))
+    arr.from_numpy(rng.uniform(0, 100, (n, n)))
     return arr, list(procs)
 
 
@@ -89,6 +97,26 @@ def marginal_messages_per_sweep(rt, arr, procs, planned):
     short = run(1)
     long = run(1 + 8)
     return (long - short) / 8.0
+
+
+def interleaved_rounds(planned_body, unplanned_body, rounds=15):
+    """Time ``rounds`` alternating unplanned/planned calls after one
+    warm-up each; returns (planned median, unplanned median, median of
+    per-round speedups)."""
+    planned_body(), unplanned_body()  # warm-up
+    planned_t, unplanned_t, ratios = [], [], []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        unplanned_body()
+        u = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        planned_body()
+        p = time.perf_counter() - t0
+        unplanned_t.append(u)
+        planned_t.append(p)
+        ratios.append(u / p)
+    return (statistics.median(planned_t), statistics.median(unplanned_t),
+            statistics.median(ratios))
 
 
 class TestCommPlanBench:
@@ -138,21 +166,9 @@ class TestCommPlanBench:
             with planning_disabled(machine):
                 sweep_call(rt8, unplanned_arr, procs, SWEEPS)
 
-        planned_body(), unplanned_body()  # warm-up
-        planned_t, unplanned_t, ratios = [], [], []
-        for _ in range(15):
-            t0 = time.perf_counter()
-            unplanned_body()
-            u = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            planned_body()
-            p = time.perf_counter() - t0
-            unplanned_t.append(u)
-            planned_t.append(p)
-            ratios.append(u / p)
-        p_med = statistics.median(planned_t)
-        u_med = statistics.median(unplanned_t)
-        speedup = statistics.median(ratios)
+        p_med, u_med, speedup = interleaved_rounds(
+            planned_body, unplanned_body
+        )
 
         report(
             f"{SWEEPS}-sweep call wall-clock (median of 15 rounds)",
@@ -173,6 +189,59 @@ class TestCommPlanBench:
         # compute overlapped with in-flight strips, one exchange per 4
         # sweeps) is at least 1.3x faster at the median.
         assert speedup >= 1.3
+
+        benchmark(planned_body)
+        planned_arr.free()
+        unplanned_arr.free()
+
+    def test_working_tile_on_one_deep_borders(self, benchmark, rt8):
+        """The runtime-chosen exchange depth: both fields declare 1-deep
+        borders; only the planned path may deepen them on a working tile."""
+        planned_arr, procs = make_field(rt8, borders=1, n=TILE_N)
+        unplanned_arr, _ = make_field(rt8, borders=1, n=TILE_N)
+        machine = rt8.machine
+
+        planned_rate = marginal_messages_per_sweep(
+            rt8, planned_arr, procs, planned=True
+        )
+        unplanned_rate = marginal_messages_per_sweep(
+            rt8, unplanned_arr, procs, planned=False
+        )
+
+        def planned_body():
+            sweep_call(rt8, planned_arr, procs, TILE_SWEEPS)
+
+        def unplanned_body():
+            with planning_disabled(machine):
+                sweep_call(rt8, unplanned_arr, procs, TILE_SWEEPS)
+
+        p_med, u_med, speedup = interleaved_rounds(
+            planned_body, unplanned_body
+        )
+        report(
+            f"1-deep borders, {TILE_N}x{TILE_N} on {GRID[0]}x{GRID[1]}: "
+            f"{TILE_SWEEPS}-sweep calls",
+            [
+                ("path", "msgs/sweep", "median seconds"),
+                ("planned (working tile)", planned_rate, f"{p_med:.5f}"),
+                ("unplanned (per-sweep strips)", unplanned_rate,
+                 f"{u_med:.5f}"),
+                ("median speedup", "", f"{speedup:.2f}x"),
+            ],
+        )
+        benchmark.extra_info.update(
+            tile_messages_per_sweep=planned_rate,
+            unplanned_messages_per_sweep=unplanned_rate,
+            tile_median_seconds=p_med,
+            unplanned_median_seconds=u_med,
+            median_speedup=round(speedup, 2),
+        )
+
+        # Acceptance: one depth-8 phase of 8 strips covers 8 sweeps
+        # (about 1 msg/sweep vs 8), and the amortised exchanges cut the
+        # median 16-sweep latency by at least 1.5x.
+        assert planned_rate <= unplanned_rate / 4
+        assert speedup >= 1.5
 
         benchmark(planned_body)
         planned_arr.free()

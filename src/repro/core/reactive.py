@@ -207,6 +207,11 @@ class ReactiveGraph:
             emit(dest, event)
 
         if not inflight.wait_zero(timeout):
+            # Close every stream so livelocked nodes stop: their next emit
+            # fails, and each node process exits once its stream drains.
+            for name in self.nodes:
+                with locks[name]:
+                    writers[name].close()
             raise TimeoutError(
                 f"reactive graph did not quiesce within {timeout}s"
             )

@@ -10,15 +10,18 @@ fused ``kind="halo_bulk"`` messages — **one** message per neighbour per
 exchange phase, issued ahead of the compute phase and overlapped with
 interior work through the ``prefetch()/complete()`` split.
 
-Deep borders buy communication *avoidance* on top of fusion: with
-uniform borders of depth ``d``, one exchange of depth ``k <= d`` is
-enough for ``k`` consecutive 5-point sweeps.  Each copy redundantly
-recomputes a shrinking frame of its halo cells (sweep ``j`` updates the
-region extended by ``k-1-j`` cells toward every neighbour), and because
-that frame computation runs the *same arithmetic on the same values* as
-the neighbour's own interior update, the result is bit-identical to
+Deep halos buy communication *avoidance* on top of fusion: with a pad
+of depth ``d``, one exchange of depth ``k <= d`` is enough for ``k``
+consecutive 5-point sweeps.  Each copy redundantly recomputes a
+shrinking frame of its halo cells (sweep ``j`` updates the region
+extended by ``k-1-j`` cells toward every neighbour), and because that
+frame computation runs the *same arithmetic on the same values* as the
+neighbour's own interior update, the result is bit-identical to
 exchanging every sweep — the sequential-equivalence argument in
-``docs/performance.md``.
+``docs/performance.md``.  The pad is the declared border width by
+default; a plan compiled with a working ``pad`` addresses a private
+working tile instead (:meth:`PlanRegistry.working_tile`), so the
+runtime, not the array's declaration, picks the exchange depth.
 
 Corner data never travels diagonally.  A rank-2 exchange runs two
 ordered stages: stage 0 swaps row strips spanning only interior columns;
@@ -51,6 +54,8 @@ from __future__ import annotations
 
 import threading
 from typing import Any, Dict, Iterable, List, Optional
+
+import numpy as np
 
 from repro.obs.spans import span as obs_span
 from repro.pcn.defvar import DefVar
@@ -161,17 +166,26 @@ class HaloStrip:
 
 
 def compile_halo_plan(op: str, array_id: Any, layout: Any, epoch: int,
-                      processors: tuple) -> Optional["CommPlan"]:
+                      processors: tuple,
+                      pad: Optional[int] = None) -> Optional["CommPlan"]:
     """Compile the exchange schedule for ``(op, layout)``, or None when
     the geometry is out of scope (rank > 2, missing or non-uniform
-    borders)."""
+    borders).
+
+    By default the plan addresses the section's own bordered storage, so
+    its pad is the declared border width.  A working ``pad`` instead
+    addresses a private working tile padded by ``pad`` cells on every
+    side, independent of the declared border width.
+    """
     if layout.rank not in (1, 2):
         return None
     widths = set(layout.borders)
     if len(widths) != 1:
         return None
-    pad = widths.pop()
-    if pad < 1:
+    declared = widths.pop()
+    if pad is None:
+        pad = declared
+    if min(declared, pad) < 1:
         return None
     return CommPlan(op, array_id, layout, pad, epoch, processors)
 
@@ -519,10 +533,12 @@ class HaloExchange:
 class PlanRegistry:
     """Machine-wide plan cache + rendezvous state for halo exchanges.
 
-    Plans are cached per ``(op, array)`` and revalidated against the
-    durability state's ``(epoch, processors)`` on every fetch; recovery,
-    migration, rebalance, and rejoin all bump the epoch, so their effect
-    on cached plans is automatic invalidation with no extra locking.
+    Plans are cached per ``(op, array, depth)`` and revalidated against
+    the durability state's ``(epoch, processors)`` on every fetch;
+    recovery, migration, rebalance, and rejoin all bump the epoch, so
+    their effect on cached plans is automatic invalidation with no extra
+    locking.  The registry also owns the private working tiles that
+    working-pad plans address, one per ``(array, section)``.
     """
 
     def __init__(self, machine: Any, manager: Any) -> None:
@@ -535,6 +551,7 @@ class PlanRegistry:
         self._lock = threading.Lock()
         self._plans: Dict[tuple, CommPlan] = {}
         self._rendezvous: Dict[tuple, DefVar] = {}
+        self._tiles: Dict[tuple, np.ndarray] = {}
         self.compiled = 0
         self.hits = 0
         self.invalidations = 0
@@ -564,9 +581,14 @@ class PlanRegistry:
                 return record.layout
         return None
 
-    def halo_plan(self, op: str, array_id: Any) -> Optional[CommPlan]:
+    def halo_plan(self, op: str, array_id: Any,
+                  depth: Optional[int] = None) -> Optional[CommPlan]:
         """The cached plan for ``(op, array_id)``, recompiled when the
-        durability epoch or membership moved since compile time."""
+        durability epoch or membership moved since compile time.
+
+        ``depth`` selects a plan compiled with that working pad (see
+        :func:`compile_halo_plan`); None selects the declared-border
+        plan.  Each depth is cached and invalidated independently."""
         if not self.enabled:
             return None
         state = self.manager.durability_state(array_id)
@@ -580,7 +602,7 @@ class PlanRegistry:
         layout = self._layout_for(array_id, state)
         if layout is None:
             return None
-        key = (op, array_id.as_tuple())
+        key = (op, array_id.as_tuple(), depth)
         invalidated = False
         with self._lock:
             cached = self._plans.get(key)
@@ -601,7 +623,8 @@ class PlanRegistry:
             return cached
         if invalidated:
             self._observe("invalidated")
-        plan = compile_halo_plan(op, array_id, layout, state.epoch, procs)
+        plan = compile_halo_plan(op, array_id, layout, state.epoch, procs,
+                                 pad=depth)
         if plan is None:
             return None
         with self._lock:
@@ -610,6 +633,20 @@ class PlanRegistry:
         self._observe("compiled")
         return plan
 
+    def working_tile(self, array_id: Any, section: int, shape: tuple,
+                     dtype: Any) -> np.ndarray:
+        """The private working tile of one section: allocated on first
+        use and reused by every later call, replaced only when the
+        requested shape (the section's geometry or working pad) or dtype
+        changed."""
+        key = (array_id.as_tuple(), section)
+        with self._lock:
+            tile = self._tiles.get(key)
+            if tile is None or tile.shape != shape or tile.dtype != dtype:
+                tile = np.zeros(shape, dtype=dtype)
+                self._tiles[key] = tile
+        return tile
+
     def drop_array(self, array_id: Any) -> None:
         aid = array_id.as_tuple()
         with self._lock:
@@ -617,6 +654,8 @@ class PlanRegistry:
                 del self._plans[key]
             for key in [k for k in self._rendezvous if k[0] == aid]:
                 del self._rendezvous[key]
+            for key in [k for k in self._tiles if k[0] == aid]:
+                del self._tiles[key]
 
     def flush_for(self, array_id: Any) -> None:
         perf = getattr(self.machine, "_perf", None)
@@ -708,6 +747,7 @@ class PlanRegistry:
         with self._lock:
             plans = len(self._plans)
             pending = len(self._rendezvous)
+            tiles = len(self._tiles)
         return {
             "enabled": self.enabled,
             "plans": plans,
@@ -724,4 +764,5 @@ class PlanRegistry:
             "not_found_strips": self.not_found_strips,
             "retries": self.retries,
             "pending_rendezvous": pending,
+            "working_tiles": tiles,
         }

@@ -135,12 +135,37 @@ def _sweep_region(
     )
 
 
+# One cell of working halo per this many cells of a section's thinnest
+# side: with K = min(h, w) // 16 the redundant frame work of a K-sweep
+# phase stays near 2K / min(h, w), about 1/8 of a sweep.
+_CELLS_PER_HALO_CELL = 16
+
+
+def working_depth(declared: int, local_dims) -> int:
+    """The working depth ``K`` of an array's planned ``heat_steps``
+    calls: the declared usable border depth, deepened to
+    ``min(local_dims) // 16`` on large sections.  It pads the private
+    working tile and bounds every exchange phase; a call of ``n`` sweeps
+    runs phases of at most ``min(n, K)``."""
+    return max(declared, min(local_dims) // _CELLS_PER_HALO_CELL)
+
+
+def phase_lengths(n_steps: int, depth: int) -> list:
+    """Split ``n_steps`` sweeps into ``ceil(n_steps / depth)`` phases of
+    near-equal length (longer ones first), each at most ``depth``."""
+    phases = -(-n_steps // depth)
+    base, extra = divmod(n_steps, phases)
+    return [base + 1] * extra + [base] * (phases - extra)
+
+
 def _plan_for(ctx: SPMDContext, section, gr: int, gc: int):
     """Resolve ``(record, plan, registry)`` for the planned heat path, or
     None when it cannot engage: raw ndarray, unmanaged section, no perf
     layer, planning disabled, grid mismatch, or unsupported geometry.
-    Every input to this decision is machine-global or layout-derived, so
-    all copies of one call take the same branch."""
+    ``plan`` is compiled with the array's :func:`working_depth` as its
+    pad, so it addresses the working tiles.  Every input to this
+    decision is machine-global or layout-derived, so all copies of one
+    call take the same branch."""
     if not isinstance(section, LocalSection):
         return None
     machine = ctx.machine
@@ -155,13 +180,17 @@ def _plan_for(ctx: SPMDContext, section, gr: int, gc: int):
     layout = record.layout
     if layout.rank != 2 or tuple(layout.grid) != (gr, gc):
         return None
-    plan = plans.halo_plan("stencil5", record.array_id)
+    declared = min(min(layout.borders), min(layout.local_dims))
+    plan = plans.halo_plan(
+        "stencil5", record.array_id,
+        depth=working_depth(declared, layout.local_dims),
+    )
     if plan is None:
         return None
     return record, plan, plans
 
 
-def _heat_steps_planned(
+def _relax_phases(
     ctx: SPMDContext,
     record,
     plan,
@@ -169,16 +198,18 @@ def _heat_steps_planned(
     full: np.ndarray,
     n_steps: int,
 ) -> float:
-    """Jacobi relaxation on the planned path: deep-halo phases.
+    """Jacobi relaxation of one working tile in deep-halo phases.
 
-    Each phase exchanges once at depth ``k = min(plan.depth, remaining)``
-    and then runs ``k`` sweeps; sweep ``j`` updates the local region
-    extended by ``k-1-j`` cells toward every neighbour (never past a
-    physical edge).  The extension cells redundantly recompute what the
-    neighbour computes for its own interior — same arithmetic, same
-    values — so the result is bit-identical to exchanging every sweep,
-    while the interior of sweep 0 overlaps with the in-flight halo
-    traffic between ``prefetch()`` and ``complete()``.
+    ``full`` is padded by ``plan.pad`` cells on every side.  The sweeps
+    run in :func:`phase_lengths` phases of at most ``plan.depth``; each
+    phase exchanges once at depth ``k`` (its length) and then runs ``k``
+    sweeps; sweep ``j`` updates the local region extended by ``k-1-j``
+    cells toward every neighbour (never past a physical edge).  The
+    extension cells redundantly recompute what the neighbour computes
+    for its own interior — same arithmetic, same values — so the result
+    is bit-identical to exchanging every sweep, while the interior of
+    sweep 0 overlaps with the in-flight halo traffic between
+    ``prefetch()`` and ``complete()``.
     """
     layout = record.layout
     d = plan.pad
@@ -191,9 +222,7 @@ def _heat_steps_planned(
     ext_e = coords[1] + 1 < layout.grid[1]
     delta = 0.0
     done_steps = 0
-    phase = 0
-    while done_steps < n_steps:
-        k = min(plan.depth, n_steps - done_steps)
+    for phase, k in enumerate(phase_lengths(n_steps, plan.depth)):
         exchange = plan.begin(
             registry, record, full, section, k,
             (ctx.group, phase), ctx.processor_number,
@@ -237,7 +266,45 @@ def _heat_steps_planned(
                 )))
             full[r0:r1, c0:c1] = new
         done_steps += k
-        phase += 1
+    return delta
+
+
+def _heat_steps_planned(
+    ctx: SPMDContext,
+    record,
+    plan,
+    registry,
+    section: LocalSection,
+    n_steps: int,
+) -> float:
+    """The planned path: relax a private working tile padded by
+    ``plan.pad`` cells, whatever the declared border width ``b``.
+
+    The section's interior and its border ring up to ``r = min(b, pad)``
+    deep are copied into the tile once, every phase runs on the tile,
+    and only a completed call writes back: the interior and the ring's
+    four edge strips (the corner blocks, which no 5-point sweep reads,
+    keep their contents).  A call that aborts mid-phase therefore leaves
+    section storage exactly as it found it.
+    """
+    h, w = record.layout.local_dims
+    pad, b = plan.pad, section.borders[0]
+    r = min(b, pad)
+    stored = section.full()[b - r:b + h + r, b - r:b + w + r]
+    o = pad - r  # tile offset of the copied ring
+    # The tile must start from every acknowledged element write.
+    registry.flush_for(plan.array_id)
+    tile = registry.working_tile(
+        plan.array_id, record.section_number_for(ctx.processor_number),
+        (h + 2 * pad, w + 2 * pad), stored.dtype,
+    )
+    with record.lock:
+        tile[o:o + h + 2 * r, o:o + w + 2 * r] = stored
+    delta = _relax_phases(ctx, record, plan, registry, tile, n_steps)
+    with record.lock:
+        stored[:, r:r + w] = tile[o:o + h + 2 * r, pad:pad + w]
+        stored[r:r + h, :r] = tile[pad:pad + h, o:pad]
+        stored[r:r + h, r + w:] = tile[pad:pad + h, pad + w:pad + w + r]
     return delta
 
 
@@ -261,10 +328,22 @@ def heat_steps(
     machine carries a perf layer, the sweeps run on the *planned* path:
     precompiled ``halo_bulk`` transfers (one fused message per neighbour
     per phase), interior compute overlapped with in-flight halo traffic,
-    and — with borders deeper than 1 — one exchange amortised over that
-    many sweeps (:mod:`repro.perf.commplan`).  The per-sweep
-    ``exchange_halos`` path remains the fallback for raw ndarrays and
-    unmanaged sections, and is bit-identical in results.
+    and one exchange amortised over up to ``K`` sweeps
+    (:mod:`repro.perf.commplan`).  The runtime picks ``K`` itself
+    (:func:`working_depth`): the declared border depth, deepened to
+    ``min(local_dims) // 16`` on large sections; a call of ``steps``
+    sweeps runs ``ceil(steps / K)`` near-equal phases.  Each copy relaxes
+    a private working tile padded by ``K`` and writes the interior and
+    the border ring's edge strips back only when the call completes —
+    section storage changes only at call end, and an aborted call leaves
+    it untouched.
+
+    After a call, physical-edge border cells keep their Dirichlet values,
+    the neighbour-facing cells next to the interior hold the halo the
+    final sweep read, and border corners are unchanged — on 1-deep
+    borders exactly what the per-sweep ``exchange_halos`` path leaves.
+    That path remains the fallback for raw ndarrays and unmanaged
+    sections, and is bit-identical in results.
     """
     gr = int(grid_rows[0]) if hasattr(grid_rows, "__getitem__") else int(grid_rows)
     gc = int(grid_cols[0]) if hasattr(grid_cols, "__getitem__") else int(grid_cols)
@@ -273,7 +352,7 @@ def heat_steps(
     if planned is not None:
         record, plan, registry = planned
         delta = _heat_steps_planned(
-            ctx, record, plan, registry, section.full(), n_steps
+            ctx, record, plan, registry, section, n_steps
         )
     else:
         full = _full(section)

@@ -89,11 +89,28 @@ class Message:
 
     def nbytes(self) -> int:
         """Approximate payload size, for simulated-traffic accounting."""
-        payload = self.payload
-        if hasattr(payload, "nbytes"):
-            return int(payload.nbytes)
-        if isinstance(payload, (bytes, bytearray)):
-            return len(payload)
-        if isinstance(payload, (list, tuple)):
-            return 8 * len(payload)
+        return _payload_nbytes(self.payload)
+
+
+# Payload types booked as one 8-byte word without further inspection.
+_WORD_TYPES = frozenset((int, float, complex, bool, str, type(None)))
+
+
+def _payload_nbytes(payload: Any) -> int:
+    """One 8-byte word for a plain scalar, an object's own ``nbytes``
+    (attribute or method) when it declares one, the byte length of
+    ``bytes``, the summed sizes of a tuple's or list's items, else one
+    8-byte word."""
+    if type(payload) in _WORD_TYPES:
         return 8
+    own = getattr(payload, "nbytes", None)
+    if own is not None:
+        return int(own() if callable(own) else own)
+    if isinstance(payload, (bytes, bytearray)):
+        return len(payload)
+    if isinstance(payload, (list, tuple)):
+        size = 0
+        for item in payload:
+            size += 8 if type(item) in _WORD_TYPES else _payload_nbytes(item)
+        return size
+    return 8

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.reactive import Event, ReactiveGraph
@@ -107,6 +109,17 @@ class TestEventFlow:
         g.add_node("loop", lambda n, e: [("loop", e.at(1.0))])
         with pytest.raises(TimeoutError):
             g.run([("loop", Event(0, "forever"))], timeout=0.3)
+
+    def test_livelock_stops_after_timeout(self):
+        """A timed-out run must not leave its node processes running."""
+        g = ReactiveGraph()
+        g.add_node("loop", lambda n, e: [("loop", e.at(1.0))])
+        with pytest.raises(TimeoutError):
+            g.run([("loop", Event(0, "forever"))], timeout=0.3)
+        time.sleep(0.1)  # let the event in hand finish
+        handled = len(g.nodes["loop"].handled)
+        time.sleep(0.3)
+        assert len(g.nodes["loop"].handled) == handled
 
     def test_handler_events_processed_in_fifo_order_per_node(self):
         g = ReactiveGraph()

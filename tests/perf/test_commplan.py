@@ -10,6 +10,7 @@ prefetch/complete overlap producing bit-identical results).
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -121,6 +122,18 @@ class TestPlanGeometry:
             key = (t.edge.dest_section, t.edge.side)
             per_dest[key] = per_dest.get(key, 0) + 1
         assert all(n == 1 for n in per_dest.values())
+
+    def test_every_stage_one_strip_relays_corners(self, machine):
+        """Stage-1 strips span the stage-0 halo rows at every depth,
+        k = 1 included, so a plan fills border corners for kernels that
+        read them."""
+        arr = make_array(machine, (8, 8), (2, 2), borders=2)
+        plan = arr.halo_plan()
+        h = arr.layout.local_dims[0]
+        for k in (1, 2):
+            for t in plan.transfers(k, stage=1):
+                rows = slice(plan.pad - k, plan.pad + h + k)
+                assert t.src_slices[0] == rows == t.dest_slices[0]
 
     def test_depth_outside_range_rejected(self, machine):
         arr = make_array(machine, borders=2)
@@ -256,6 +269,22 @@ class TestPlannedEquivalence:
             rtol=0, atol=0,
         )
 
+    @pytest.mark.parametrize(
+        "shape,grid,borders",
+        [((8, 8), (2, 2), 6),    # borders deeper than the 4x4 sections
+         ((8, 8), (4, 1), 3)],   # thin 2x8 strips clip the usable depth
+    )
+    def test_borders_deeper_than_working_depth(
+        self, machine, shape, grid, borders
+    ):
+        """The working tile copies only the border ring the phases can
+        reach; the result still matches the serial reference."""
+        initial = np.random.default_rng(3).uniform(0, 100, shape)
+        arr = make_array(machine, shape, grid, borders=borders)
+        arr.from_numpy(initial)
+        run_heat(machine, arr, grid, 7)
+        assert np.array_equal(arr.to_numpy(), serial_reference(initial, 7))
+
     def test_planned_and_unplanned_deltas_agree(self, machine):
         rng = np.random.default_rng(2)
         initial = rng.uniform(0, 100, (8, 8))
@@ -291,6 +320,21 @@ class TestPlannedEquivalence:
         finally:
             machine.transport_stack.remove(meter)
         assert halo[0] == 3 * 8  # 3 phases x 8 neighbour edges
+
+    def test_one_deep_borders_exchange_once_per_working_phase(self, machine):
+        """1-deep borders on 128x128 sections: the runtime works at depth
+        8 on private tiles, so 16 sweeps = 2 phases of 8 strips."""
+        arr = make_array(machine, (256, 256), (2, 2), borders=1)
+        arr.from_numpy(np.ones((256, 256)))
+        run_heat(machine, arr, (2, 2), 1)  # warm the plan and tile caches
+        meter = TrafficMeter()
+        machine.transport_stack.push(meter)
+        try:
+            run_heat(machine, arr, (2, 2), 16)
+            halo = meter.snapshot()["by_kind"].get(HALO_BULK_KIND, (0, 0))
+        finally:
+            machine.transport_stack.remove(meter)
+        assert halo[0] == 2 * 8  # 2 phases x 8 neighbour edges
 
     def test_unplanned_fallback_rejects_deep_borders(self, machine):
         arr = make_array(machine, (8, 8), (2, 2), borders=4)
@@ -507,3 +551,219 @@ class TestPlannedUnderFaults:
             assert diag["retries"] >= 1
         if "duplicate" in plan_kwargs:
             assert diag["duplicate_strips"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# Working tiles: the runtime-chosen exchange depth on 1-deep borders
+# ---------------------------------------------------------------------------
+
+
+def section_storage(machine, arr):
+    """Every section's full bordered storage (interior plus border ring),
+    in section order."""
+    manager = get_array_manager(machine)
+    state = manager.durability_state(arr.array_id)
+    return [
+        manager._lookup(machine.processor(p), arr.array_id).section.full().copy()
+        for p in state.processors
+    ]
+
+
+def heat_both_paths(machine, shape, grid, calls, seed=5):
+    """Run the same sequence of heat_steps calls on two identical 1-deep
+    bordered arrays, one planned and one with planning disabled; return
+    (planned, unplanned) lists of (delta, section storage) per call."""
+    initial = np.random.default_rng(seed).uniform(0, 100, shape)
+    procs = list(range(int(np.prod(grid))))
+    planned = make_array(machine, shape, grid, 1, procs=procs)
+    unplanned = make_array(machine, shape, grid, 1, procs=procs)
+    planned.from_numpy(initial)
+    unplanned.from_numpy(initial)
+    registry = plans_of(machine)
+    out_planned, out_unplanned = [], []
+    for steps in calls:
+        out_planned.append(
+            (run_heat(machine, planned, grid, steps),
+             section_storage(machine, planned))
+        )
+        registry.enabled = False
+        try:
+            out_unplanned.append(
+                (run_heat(machine, unplanned, grid, steps),
+                 section_storage(machine, unplanned))
+            )
+        finally:
+            registry.enabled = True
+    return planned, out_planned, out_unplanned
+
+
+def assert_same_storage(got, want):
+    for (d_got, s_got), (d_want, s_want) in zip(got, want):
+        assert d_got == d_want
+        for section, (a, b) in enumerate(zip(s_got, s_want)):
+            assert np.array_equal(a, b), f"section {section} differs"
+
+
+@pytest.fixture
+def machine8():
+    m = Machine(8, default_recv_timeout=10)
+    am_util.load_all(m)
+    return m
+
+
+class TestWorkingTile:
+    @pytest.mark.parametrize("steps", [1, 5, 8, 16, 17, 33])
+    @pytest.mark.parametrize(
+        "shape,grid", [((256, 256), (2, 2)), ((256, 128), (4, 2))]
+    )
+    def test_full_storage_bit_identical_to_per_sweep_path(
+        self, machine8, shape, grid, steps
+    ):
+        """Interior *and* the 1-deep border ring match the unplanned
+        per-sweep exchange after every call — including a second call
+        that reuses the cached tile left over from the first."""
+        _, planned, unplanned = heat_both_paths(
+            machine8, shape, grid, [steps, steps]
+        )
+        assert_same_storage(planned, unplanned)
+        # One tile per section (128x128 sections work at depth 8, 64x64
+        # ones at depth 4), reused by the second call.
+        tiles = plans_of(machine8).diagnostics()["working_tiles"]
+        assert tiles == grid[0] * grid[1]
+
+    @pytest.mark.parametrize(
+        "plan_kwargs", [dict(drop=0.4), dict(duplicate=0.5)]
+    )
+    def test_drop_duplicate_faults_keep_storage_bit_identical(
+        self, machine, plan_kwargs
+    ):
+        registry = plans_of(machine)
+        registry.retry_timeout = 0.25  # keep reship latency test-sized
+        faulty = FaultyTransport(
+            machine,
+            FaultPlan(seed=11, kinds=(HALO_BULK_KIND,), **plan_kwargs),
+        )
+        faulty.install()
+        try:
+            # 64x64 sections: depth-4 tiles, two phases per 8 sweeps.
+            _, planned, unplanned = heat_both_paths(
+                machine, (128, 128), (2, 2), [8, 7]
+            )
+        finally:
+            faulty.uninstall()
+            registry.retry_timeout = 5.0
+        assert_same_storage(planned, unplanned)
+        diag = registry.diagnostics()
+        assert diag["working_tiles"] == 4
+        if "drop" in plan_kwargs:
+            assert diag["retries"] >= 1
+        else:
+            assert diag["duplicate_strips"] >= 1
+
+    def test_stale_phase_leaves_storage_at_pre_call_contents(self, machine):
+        """Phase 1 of an 8-sweep call is fenced as STALE_EPOCH after
+        phase 0 already relaxed the tiles: the call fails and no section
+        storage — interior or border ring — has moved."""
+        arr = make_array(machine, (128, 128), (2, 2), borders=1)
+        arr.from_numpy(np.random.default_rng(9).uniform(0, 100, (128, 128)))
+        run_heat(machine, arr, (2, 2), 1)  # fill the borders once
+        before = section_storage(machine, arr)
+        stamped = []
+
+        def stale_phase_one(message, forward):
+            strip = message.payload
+            if message.kind == HALO_BULK_KIND and strip.token[1] == 1:
+                strip.epoch = -1  # predates every durability epoch
+                stamped.append(strip)
+            forward(message)
+
+        machine.transport_stack.push(stale_phase_one)
+        try:
+            res = distributed_call(
+                machine, list(arr.processors), heat_steps,
+                [2, 2, 8, Local(arr.array_id)],
+            )
+        finally:
+            machine.transport_stack.remove(stale_phase_one)
+        assert res.status is not Status.OK
+        assert stamped and plans_of(machine).stale_strips >= 1
+        assert plans_of(machine).diagnostics()["working_tiles"] == 4
+        for section, (a, b) in enumerate(
+            zip(section_storage(machine, arr), before)
+        ):
+            assert np.array_equal(a, b), f"section {section} moved"
+
+    def test_concurrent_tile_fetches_share_one_tile(self, machine):
+        """Copies fetch tiles from many threads at once: each
+        (array, section) still gets exactly one tile."""
+        arr = make_array(machine)
+        registry = plans_of(machine)
+        got = [[] for _ in range(16)]
+
+        def fetch(out):
+            for section in (0, 1, 2) * 20:
+                out.append(registry.working_tile(
+                    arr.array_id, section, (6, 6), np.dtype(float),
+                ))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=fetch, args=(out,)) for out in got
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for section in range(3):
+            tiles = {id(out[i]) for out in got
+                     for i in range(section, 60, 3)}
+            assert len(tiles) == 1
+        assert registry.diagnostics()["working_tiles"] == 3
+
+    def test_depth_keyed_plans_cache_and_invalidate(self, machine):
+        arr = make_array(machine, (128, 128), (2, 2), borders=1)
+        arr.from_numpy(np.ones((128, 128)))
+        registry = plans_of(machine)
+        base = registry.diagnostics()
+        declared = registry.halo_plan("stencil5", arr.array_id)
+        deep = registry.halo_plan("stencil5", arr.array_id, depth=4)
+        assert deep is not declared
+        assert (declared.pad, deep.pad, deep.depth) == (1, 4, 4)
+        assert registry.halo_plan("stencil5", arr.array_id, depth=4) is deep
+        diag = registry.diagnostics()
+        assert diag["compiled"] == base["compiled"] + 2
+        assert diag["hits"] == base["hits"] + 1
+        # Heat calls work at depth 4 on 64x64 sections whatever their
+        # sweep count: every call reuses the cached plan and tiles.
+        run_heat(machine, arr, (2, 2), 8)
+        tile = registry.working_tile(
+            arr.array_id, 0, (72, 72), np.dtype(float)
+        )
+        for steps in (1, 2, 3, 5, 8):
+            run_heat(machine, arr, (2, 2), steps)
+        assert registry.working_tile(
+            arr.array_id, 0, (72, 72), np.dtype(float)
+        ) is tile
+        diag = registry.diagnostics()
+        assert diag["compiled"] == base["compiled"] + 2
+        assert diag["working_tiles"] == 4
+        # Migration bumps the epoch: every depth recompiles.
+        arr.migrate({3: 4})
+        moved = registry.halo_plan("stencil5", arr.array_id, depth=4)
+        assert moved is not deep and moved.processors[3] == 4
+        assert registry.halo_plan("stencil5", arr.array_id) is not declared
+        assert registry.diagnostics()["invalidations"] == \
+            base["invalidations"] + 2
+        # Geometry: deeper declared borders invalidate the working plan.
+        arr.verify_borders([2, 2, 2, 2])
+        regrown = registry.halo_plan("stencil5", arr.array_id, depth=4)
+        assert regrown is not moved and regrown.layout.borders == (2,) * 4
+        arr.free()
+        diag = registry.diagnostics()
+        assert diag["working_tiles"] == 0
+        assert all(k[1] != arr.array_id.as_tuple() for k in registry._plans)

@@ -12,6 +12,8 @@ from repro.spmd.stencil import (
     grid_coords,
     heat_steps,
     jacobi_sweep,
+    phase_lengths,
+    working_depth,
 )
 from repro.status import Status
 from repro.vp.machine import Machine
@@ -90,6 +92,30 @@ class TestHelpers:
     def test_jacobi_sweep_shape(self):
         full = np.zeros((5, 6))
         assert jacobi_sweep(full).shape == (3, 4)
+
+
+class TestWorkingDepth:
+    def test_depth_rule(self):
+        # 128x128 sections deepen 1-deep borders to 8.
+        assert working_depth(1, (128, 128)) == 8
+        # Small sections: the declared depth decides.
+        assert working_depth(1, (8, 8)) == 1
+        assert working_depth(4, (16, 16)) == 4
+        # The thinnest local dimension sets the deepening.
+        assert working_depth(1, (256, 64)) == 4
+        # A call shorter than the working depth runs as one phase.
+        assert phase_lengths(5, working_depth(1, (128, 128))) == [5]
+
+    @pytest.mark.parametrize("depth", [1, 3, 4, 8])
+    def test_phases_are_near_equal(self, depth):
+        for steps in range(1, 40):
+            phases = phase_lengths(steps, depth)
+            assert sum(phases) == steps
+            assert len(phases) == -(-steps // depth)
+            assert max(phases) <= depth
+            assert max(phases) - min(phases) <= 1
+        assert phase_lengths(17, 8) == [6, 6, 5]
+        assert phase_lengths(16, 8) == [8, 8]
 
 
 class TestDistributedStencil:

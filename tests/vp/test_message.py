@@ -54,6 +54,11 @@ class TestSizeAccounting:
     def test_list_payload(self):
         assert make([1, 2, 3]).nbytes() == 24
 
+    def test_container_items_sized_recursively(self):
+        # A ring-allgather hop: (index, ndarray) is 8 B + the array's bytes.
+        assert make((0, np.zeros(10))).nbytes() == 88
+        assert make([(1, b"ab"), np.zeros(2)]).nbytes() == 8 + 2 + 16
+
     def test_scalar_payload(self):
         assert make(1.5).nbytes() == 8
 
